@@ -19,14 +19,13 @@
 pub const RESULTS_V2: &str = "suu-results/v2";
 
 /// One cached evaluation cell on disk (an `EvalStats` checkpoint in a
-/// content-addressed envelope).
+/// content-addressed envelope). The store's only other file, the
+/// append-only `recency.log` (one cell key per line), is plain text and
+/// carries no schema; memoized lower bounds live in memory only.
 pub const SERVE_CELL_V1: &str = "suu-serve/cell/v1";
 
 /// The canonical key-fields object whose FNV-1a hash addresses a cell.
 pub const SERVE_CELLKEY_V1: &str = "suu-serve/cellkey/v1";
-
-/// The persisted LRU recency index (`index.json`) of a cell store.
-pub const SERVE_INDEX_V1: &str = "suu-serve/index/v1";
 
 /// `GET /healthz` response body of `suud` and `suu-router`.
 pub const SERVE_HEALTH_V1: &str = "suu-serve/health/v1";
@@ -71,7 +70,6 @@ pub const ALL: &[&str] = &[
     RESULTS_SWEEP_V1,
     SERVE_CELL_V1,
     SERVE_CELLKEY_V1,
-    SERVE_INDEX_V1,
     SERVE_HEALTH_V1,
     SERVE_STATS_V1,
     SERVE_LOADGEN_V1,

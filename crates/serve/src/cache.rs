@@ -24,21 +24,33 @@
 //! identical requests coalesce onto one computation and the latecomer
 //! reads the winner's checkpoint from disk.
 //!
-//! ## Size budget and LRU eviction
+//! ## Recency log, size budget and LRU eviction
+//!
+//! The store mirrors every cell's size and recency in memory (O(log N)
+//! per use, a running byte total), so a hit does no O(cache size) work. Recency persists as `recency.log` — an
+//! append-only file of one cell key per line, kept for every store,
+//! budgeted or not, and created by the first append. Each load hit and
+//! each store appends one line; reopening replays the log onto the
+//! cells found on disk (keys of deleted cells and a torn last line are
+//! ignored; cells the log never names count as least recently used, in
+//! key order) and compacts it with temp + rename. It is compacted again
+//! at run time once it holds more than twice as many lines as there are
+//! live cells, so a hit costs one appended line, amortized. A crash
+//! leaves at worst slightly stale recency, never a torn cell.
 //!
 //! A store opened with [`CellStore::open_with_budget`] keeps total cell
 //! bytes under the budget: every `store` that would exceed it evicts
 //! least-recently-*used* cells first (loads count as use, not just
-//! writes). Recency survives restarts through `index.json` — an
-//! [`INDEX_SCHEMA`] document rewritten atomically on every access, so a
-//! crash leaves at worst slightly-stale recency, never a torn index.
-//! Cells whose key is currently in flight are never evicted (a resume
-//! in progress must find its checkpoint), and the cell just written is
-//! always kept even when it alone exceeds the budget — a budget too
-//! small for one cell degrades to "cache of one", not a failure.
+//! writes). Cells whose key is currently in flight are never evicted (a
+//! resume in progress must find its checkpoint), and the cell just
+//! written is always kept even when it alone exceeds the budget — a
+//! budget too small for one cell degrades to "cache of one", not a
+//! failure.
 
+use crate::recency::Recency;
 use crate::unpoisoned;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -50,8 +62,12 @@ use suu_sim::EvalStats;
 pub const CELL_SCHEMA: &str = suu_core::schemas::SERVE_CELL_V1;
 /// Schema of the key-fields object that gets hashed.
 pub const CELL_KEY_SCHEMA: &str = suu_core::schemas::SERVE_CELLKEY_V1;
-/// Schema of the persisted LRU recency index (`index.json`).
-pub const INDEX_SCHEMA: &str = suu_core::schemas::SERVE_INDEX_V1;
+/// File name of the append-only recency log inside the cache dir.
+pub const RECENCY_LOG: &str = "recency.log";
+/// Lines the recency log may hold beyond twice the live cell count
+/// before it is compacted, so a small cache is not rewritten every few
+/// hits.
+const LOG_SLACK_LINES: usize = 64;
 
 /// The canonical identity of a cell, pre-hash. `scenario_params` must be
 /// the *normalized* parameter object from
@@ -129,24 +145,97 @@ pub struct CellStore {
     lru: Mutex<LruState>,
 }
 
-/// In-memory mirror of cell recency and sizes, persisted to
-/// `index.json`. `order` runs least- to most-recently-used.
+/// In-memory mirror of the cells on disk: recency, sizes and their
+/// total, plus the append handle of the recency log.
 #[derive(Debug, Default)]
 struct LruState {
-    order: Vec<String>,
-    sizes: BTreeMap<String, u64>,
+    /// Cell key → file size, least to most recently used.
+    cells: Recency<u64>,
+    /// Sum of `cells`' sizes.
+    total_bytes: u64,
+    /// `recency.log` opened for append; `None` until the first append
+    /// and after each compaction.
+    log: Option<std::fs::File>,
+    /// Lines in `recency.log` since it was last compacted.
+    log_lines: usize,
 }
 
 impl LruState {
-    fn total_bytes(&self) -> u64 {
-        self.sizes.values().sum()
+    /// Record a use of `hex` at `size` bytes (inserting it if the
+    /// mirror did not know it) and append it to the log.
+    fn put(&mut self, dir: &Path, hex: &str, size: u64) {
+        let old = self.cells.insert(hex, size).unwrap_or(0);
+        self.total_bytes = self.total_bytes + size - old;
+        self.append(dir, hex);
     }
 
-    /// Move (or insert) `hex` at the most-recently-used end.
-    fn touch(&mut self, hex: &str) {
-        self.order.retain(|k| k != hex);
-        self.order.push(hex.to_string());
+    /// Drop `hex` from the mirror (its file is gone). The log keeps its
+    /// lines; replay ignores keys with no cell on disk.
+    fn forget(&mut self, hex: &str) {
+        if let Some(size) = self.cells.remove(hex) {
+            self.total_bytes -= size;
+        }
     }
+
+    /// Append one key line to the log, compacting it once it holds
+    /// more than twice the live cells. Best-effort: recency is an
+    /// optimization, losing it must never fail a request.
+    fn append(&mut self, dir: &Path, hex: &str) {
+        let Some(line) = log_line(hex) else {
+            return;
+        };
+        if self.log.is_none() {
+            self.log = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(dir.join(RECENCY_LOG))
+                .ok();
+        }
+        let written = self
+            .log
+            .as_mut()
+            .is_some_and(|log| log.write_all(&line).is_ok());
+        if !written {
+            self.log = None; // reopen on the next append
+            return;
+        }
+        self.log_lines += 1;
+        if self.log_lines > 2 * self.cells.len() + LOG_SLACK_LINES {
+            self.compact(dir);
+        }
+    }
+
+    /// Rewrite the log as the live keys in LRU order (temp + rename).
+    fn compact(&mut self, dir: &Path) {
+        let mut text = String::with_capacity(17 * self.cells.len());
+        for key in self.cells.keys() {
+            text.push_str(key);
+            text.push('\n');
+        }
+        let tmp = dir.join(format!("{RECENCY_LOG}.tmp.{}", std::process::id()));
+        self.log = None;
+        if std::fs::write(&tmp, text).is_err()
+            || std::fs::rename(&tmp, dir.join(RECENCY_LOG)).is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        // A failed attempt (disk full) waits as long as a successful one
+        // before the next, keeping appends amortized O(1) either way.
+        self.log_lines = self.cells.len();
+    }
+}
+
+/// One recency-log line, a cell key and its newline, built on the
+/// stack so an append allocates nothing. `None` for a malformed key,
+/// which replay could never match to a cell file anyway.
+fn log_line(hex: &str) -> Option<[u8; 17]> {
+    let key: &[u8; 16] = hex.as_bytes().try_into().ok()?;
+    if !is_valid_key_hex(hex) {
+        return None;
+    }
+    let mut line = [b'\n'; 17];
+    line[..16].copy_from_slice(key);
+    Some(line)
 }
 
 impl CellStore {
@@ -155,9 +244,9 @@ impl CellStore {
         CellStore::open_with_budget(dir, None)
     }
 
-    /// Open with an optional total-cell-bytes budget. Recency is seeded
-    /// from `index.json` when present (keys no longer on disk are
-    /// dropped; cells the index missed count as least recently used).
+    /// Open with an optional total-cell-bytes budget. Sizes come from a
+    /// directory scan (the disk is the authority), recency from
+    /// replaying `recency.log` when present (see the module docs).
     pub fn open_with_budget(
         dir: impl Into<PathBuf>,
         budget: Option<u64>,
@@ -190,42 +279,14 @@ impl CellStore {
 
     /// Total bytes of cached cells (from the in-memory size mirror).
     pub fn cache_bytes(&self) -> u64 {
-        self.lru_lock().total_bytes()
+        self.lru_lock().total_bytes
     }
 
-    /// Cells currently on disk (counted fresh; the store is the
-    /// authority, not an in-memory mirror). `index.json` and temp files
-    /// don't count — only valid content addresses.
+    /// Cells currently cached, from the in-memory mirror: seeded by a
+    /// directory scan on open, kept by every store and eviction, and
+    /// corrected when a load finds a mirrored cell's file gone.
     pub fn cells_on_disk(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| {
-                        let path = e.path();
-                        path.extension().is_some_and(|x| x == "json")
-                            && path
-                                .file_stem()
-                                .and_then(|s| s.to_str())
-                                .is_some_and(is_valid_key_hex)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Rewrite `index.json` (temp + rename) from the current LRU state.
-    /// Best-effort: recency is an optimization, losing it must never
-    /// fail a request.
-    fn persist_index(&self, lru: &LruState) {
-        let doc = Json::obj().field("schema", INDEX_SCHEMA).field(
-            "order",
-            Json::Arr(lru.order.iter().map(|k| Json::Str(k.clone())).collect()),
-        );
-        let tmp = self.dir.join(format!("index.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, doc.to_pretty()).is_ok() {
-            let _ = std::fs::rename(&tmp, self.dir.join("index.json"));
-        }
+        self.lru_lock().cells.len()
     }
 
     /// The LRU mirror, recovered from poison: a panic elsewhere while
@@ -236,47 +297,38 @@ impl CellStore {
         unpoisoned(self.lru.lock())
     }
 
-    /// Record a use of `hex` (cache hit / extend base).
-    fn lru_touch(&self, hex: &str) {
-        let mut lru = self.lru_lock();
-        lru.touch(hex);
-        self.persist_index(&lru);
-    }
-
     /// Record a write of `hex` at `size` bytes, then evict LRU-first
     /// until the budget holds. In-flight keys and the cell just written
     /// are exempt.
     fn lru_record(&self, hex: &str, size: u64) {
         let mut lru = self.lru_lock();
-        lru.sizes.insert(hex.to_string(), size);
-        lru.touch(hex);
-        if let Some(budget) = self.budget {
-            let mut idx = 0;
-            while lru.total_bytes() > budget && idx < lru.order.len() {
-                let victim = lru.order[idx].clone();
-                if victim == hex || self.inflight.contains(&victim) {
-                    idx += 1; // exempt; try the next-least-recent
-                    continue;
-                }
-                // Remove the file first: an eviction that fails to
-                // delete must not be forgotten by the index.
-                match std::fs::remove_file(self.path_for(&victim)) {
-                    Ok(()) => {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Already gone (external cleanup): reconcile the
-                    // index, but it wasn't our eviction.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(_) => {
-                        idx += 1;
-                        continue;
-                    }
-                }
-                lru.order.remove(idx);
-                lru.sizes.remove(&victim);
+        lru.put(&self.dir, hex, size);
+        let Some(budget) = self.budget else {
+            return;
+        };
+        let mut cursor = None;
+        while lru.total_bytes > budget {
+            let Some((seq, victim)) = lru.cells.next_after(cursor) else {
+                break;
+            };
+            cursor = Some(seq);
+            if victim == hex || self.inflight.contains(victim) {
+                continue; // exempt; try the next-least-recent
             }
+            let victim = victim.to_string();
+            // Remove the file first: an eviction that fails to delete
+            // must not be forgotten by the mirror.
+            match std::fs::remove_file(self.path_for(&victim)) {
+                Ok(()) => {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                // Already gone (external cleanup): reconcile the
+                // mirror, but it wasn't our eviction.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(_) => continue,
+            }
+            lru.forget(&victim);
         }
-        self.persist_index(&lru);
     }
 
     fn path_for(&self, hex: &str) -> PathBuf {
@@ -299,7 +351,12 @@ impl CellStore {
         let path = self.path_for(&key.hex);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // Deleted behind our back: keep the mirror (and with it
+                // `cells_on_disk`) honest.
+                self.lru_lock().forget(&key.hex);
+                return Ok(None);
+            }
             Err(e) => return Err(format!("cache read {}: {e}", path.display())),
         };
         let doc = suu_core::json::parse(&text)
@@ -332,7 +389,8 @@ impl CellStore {
             .map_err(|e| format!("cache {}: {e}", path.display()))?;
         // A read is a use: hits must refresh recency or a hot cell gets
         // evicted under write pressure.
-        self.lru_touch(&key.hex);
+        let size = u64::try_from(text.len()).unwrap_or(u64::MAX);
+        self.lru_lock().put(&self.dir, &key.hex, size);
         Ok(Some(CachedCell { stats, stop_reason }))
     }
 
@@ -442,10 +500,13 @@ impl InflightTable {
 }
 
 /// Seed the LRU mirror: sizes from a directory scan (the disk is the
-/// authority), recency from `index.json` where it has an opinion.
-/// Unindexed cells sort first (least recent) by key for determinism.
+/// authority), recency from replaying `recency.log` where it has an
+/// opinion. Unlogged cells sort first (least recent) by key for
+/// determinism. A leftover `index.json` from the old whole-index format
+/// is removed.
 fn load_lru(dir: &Path) -> LruState {
-    let mut sizes = BTreeMap::new();
+    let _ = std::fs::remove_file(dir.join("index.json"));
+    let mut sizes = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.filter_map(|e| e.ok()) {
             let path = entry.path();
@@ -454,33 +515,30 @@ fn load_lru(dir: &Path) -> LruState {
             };
             if path.extension().is_some_and(|x| x == "json") && is_valid_key_hex(stem) {
                 if let Ok(meta) = entry.metadata() {
-                    sizes.insert(stem.to_string(), meta.len());
+                    sizes.push((stem.to_string(), meta.len()));
                 }
             }
         }
     }
-    let indexed: Vec<String> = std::fs::read_to_string(dir.join("index.json"))
-        .ok()
-        .and_then(|text| suu_core::json::parse(&text).ok())
-        .filter(|doc| doc.get("schema").and_then(Json::as_str) == Some(INDEX_SCHEMA))
-        .and_then(|doc| {
-            doc.get("order").and_then(Json::as_array).map(|keys| {
-                keys.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-        })
-        .unwrap_or_default();
-    // BTreeMap keys iterate sorted, so the unindexed prefix is already
-    // in deterministic (key) order.
-    let mut order: Vec<String> = sizes
-        .keys()
-        .filter(|k| !indexed.contains(k))
-        .cloned()
-        .collect();
-    order.extend(indexed.into_iter().filter(|k| sizes.contains_key(k)));
-    LruState { order, sizes }
+    sizes.sort_unstable();
+    let mut lru = LruState::default();
+    for (key, size) in sizes {
+        lru.cells.insert(&key, size);
+        lru.total_bytes += size;
+    }
+    if let Ok(bytes) = std::fs::read(dir.join(RECENCY_LOG)) {
+        // Only newline-terminated lines count: a crash mid-append leaves
+        // a torn last line, which is ignored.
+        let complete = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(&bytes[..0], |end| &bytes[..end]);
+        for line in String::from_utf8_lossy(complete).split('\n') {
+            lru.cells.touch(line); // unknown keys are no-ops
+        }
+        lru.compact(dir);
+    }
+    lru
 }
 
 #[cfg(test)]
@@ -633,7 +691,7 @@ mod tests {
         let keys = fill(&probe, 0..1);
         let cell_bytes = probe.cache_bytes();
         assert!(cell_bytes > 0);
-        assert_eq!(probe.cells_on_disk(), 1, "index.json must not count");
+        assert_eq!(probe.cells_on_disk(), 1, "recency.log must not count");
         let _ = std::fs::remove_dir_all(probe.dir());
         drop(keys);
 
@@ -687,6 +745,137 @@ mod tests {
             "stale cell evicted"
         );
         assert!(store.load(&key3).unwrap().is_some());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The mirror's keys, least to most recently used.
+    fn lru_order(store: &CellStore) -> Vec<String> {
+        store.lru_lock().cells.keys().map(str::to_string).collect()
+    }
+
+    fn log_text(dir: &Path) -> String {
+        std::fs::read_to_string(dir.join(RECENCY_LOG)).unwrap_or_default()
+    }
+
+    /// Every file in `dir` but the recency log: name, size, inode and
+    /// modification time — any rewrite (temp + rename) changes the inode.
+    fn snapshot_without_log(dir: &Path) -> Vec<(String, u64, u64, std::time::SystemTime)> {
+        use std::os::unix::fs::MetadataExt as _;
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name() != RECENCY_LOG)
+            .map(|e| {
+                let meta = e.metadata().unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, meta.len(), meta.ino(), meta.modified().unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_hit_appends_one_log_line_and_rewrites_nothing_else() {
+        for cells in [1u64, 1024] {
+            let store = CellStore::open(tempdir(&format!("hit-cost-{cells}"))).unwrap();
+            let keys = fill(&store, 0..cells);
+            let before = snapshot_without_log(store.dir());
+            assert_eq!(before.len() as u64, cells, "only cells besides the log");
+            let log_before = log_text(store.dir());
+            assert!(store.load(&keys[0]).unwrap().is_some());
+            assert_eq!(snapshot_without_log(store.dir()), before);
+            assert_eq!(
+                log_text(store.dir()),
+                format!("{log_before}{}\n", keys[0].hex),
+                "a hit appends exactly its key"
+            );
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
+    }
+
+    #[test]
+    fn the_log_compacts_and_reopening_keeps_lru_order() {
+        let dir = tempdir("log-compact");
+        let (keys, order) = {
+            let store = CellStore::open(&dir).unwrap();
+            let keys = fill(&store, 0..4);
+            for i in 0..500usize {
+                let key = &keys[[2, 0, 3, 0, 1][i % 5]];
+                assert!(store.load(key).unwrap().is_some());
+                let lines = log_text(&dir).lines().count();
+                assert!(lines <= 2 * 4 + LOG_SLACK_LINES, "{lines} log lines");
+            }
+            (keys, lru_order(&store))
+        };
+        // The last hits were 3, 0, 1 (i = 497, 498, 499), after 2.
+        let hex = |i: usize| keys[i].hex.clone();
+        assert_eq!(order, [hex(2), hex(3), hex(0), hex(1)]);
+        let store = CellStore::open(&dir).unwrap();
+        assert_eq!(lru_order(&store), order, "replayed recency");
+        assert_eq!(log_text(&dir).lines().count(), 4, "compacted on open");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_and_unknown_log_lines_are_ignored() {
+        let dir = tempdir("log-torn");
+        let keys = fill(&CellStore::open(&dir).unwrap(), 0..3);
+        let log = format!(
+            "{}\nffffffffffffffff\nnot a key\n{}\n{}",
+            keys[1].hex,
+            keys[0].hex,
+            &keys[2].hex[..7]
+        );
+        std::fs::write(dir.join(RECENCY_LOG), log).unwrap();
+        let store = CellStore::open(&dir).unwrap();
+        // Cell 2 appears only on the torn line, so it is unlogged and
+        // least recent; the rest follow the log.
+        let order = [&keys[2], &keys[1], &keys[0]].map(|k| k.hex.clone());
+        assert_eq!(lru_order(&store), order);
+        assert_eq!(log_text(&dir), order.map(|k| k + "\n").concat());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_creates_nothing_until_the_first_write() {
+        let dir = tempdir("lazy-log");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("index.json"), "{}").unwrap();
+        let store = CellStore::open(&dir).unwrap();
+        let names = |dir: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert!(names(&dir).is_empty(), "leftover index.json removed");
+        assert!(store.load(&sample_key(1)).unwrap().is_none());
+        assert!(names(&dir).is_empty(), "a miss writes nothing");
+        let key = fill(&store, 1..2).remove(0);
+        assert_eq!(
+            names(&dir),
+            [format!("{}.json", key.hex), RECENCY_LOG.into()]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_externally_deleted_cell_is_a_miss_and_leaves_the_count() {
+        let store = CellStore::open(tempdir("deleted")).unwrap();
+        let keys = fill(&store, 0..3);
+        let total = store.cache_bytes();
+        assert_eq!(store.cells_on_disk(), 3);
+        let path = store.dir().join(format!("{}.json", keys[1].hex));
+        let size = std::fs::metadata(&path).unwrap().len();
+        std::fs::remove_file(&path).unwrap();
+        assert!(store.load(&keys[1]).unwrap().is_none());
+        assert_eq!(store.cells_on_disk(), 2);
+        assert_eq!(store.cache_bytes(), total - size);
+        assert!(store.load(&keys[0]).unwrap().is_some());
+        assert_eq!(store.cells_on_disk(), 2);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -14,7 +14,11 @@
 //! strictly in order, compute handed to a worker pool through a
 //! **bounded queue** (overflow → immediate `429` + `Retry-After`), idle
 //! connections reaped on a deadline, and an optional LRU **cache size
-//! budget** with recency persisted in `index.json`.
+//! budget**. Cell recency lives in memory and persists as an
+//! append-only `recency.log`, so a cache hit costs one appended line,
+//! never O(cache size) work; LP lower bounds are memoized per scenario
+//! ([`service::LOWER_BOUND_MEMO_CAP`] entries, oldest evicted first), so
+//! a repeated `ratios_to_lower_bound` request solves no LP.
 //!
 //! * `POST /v1/race` — a [`suu_bench::request::RaceRequest`] (scenarios
 //!   by family + normalized parameters, policy specs, a stopping rule).
@@ -79,6 +83,7 @@ pub(crate) fn unpoisoned<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
 pub mod cache;
 pub mod client;
 pub mod http;
+mod recency;
 pub mod router;
 pub mod server;
 pub mod service;

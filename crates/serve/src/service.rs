@@ -16,13 +16,26 @@
 //!   bitwise what a cold run at the final trial count would produce;
 //! * concurrent identical requests coalesce: one computes, the rest
 //!   wait on the in-flight guard and replay its checkpoint.
+//!
+//! ## Lower-bound memo
+//!
+//! With `ratios_to_lower_bound` set, each scenario's LP lower bound is
+//! solved once and memoized in memory — errors included, so a failing
+//! bound reports the same `lower_bound_error` every time. The memo is
+//! keyed by the scenario's canonical normalized parameters (the same
+//! recipe the cell key hashes) and holds at most
+//! [`LOWER_BOUND_MEMO_CAP`] scenarios, evicting the least recently used
+//! first. A bound is a pure function of the scenario, so replies are
+//! byte-identical with or without the memo.
 
 use crate::cache::{cell_key_fields, CellKey, CellStore};
 use crate::http::{Request, Response};
+use crate::recency::Recency;
 use crate::server::ServerMetrics;
+use crate::unpoisoned;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use suu_algos::bounds::lower_bound;
 use suu_bench::report::ResultsBuilder;
 use suu_bench::request::RaceRequest;
@@ -87,10 +100,19 @@ pub enum ServeError {
     Internal(String),
 }
 
+/// Most scenarios whose lower bound [`Service`] keeps memoized. An
+/// entry is one `f64` (or error string) under ~100 bytes of canonical
+/// scenario parameters, so a full memo stays well under a MiB; 4096
+/// scenarios cover every hot scenario of a cache many times larger.
+pub const LOWER_BOUND_MEMO_CAP: usize = 4096;
+
 /// The daemon state shared by every worker thread.
 pub struct Service {
     store: CellStore,
     registry: PolicyRegistry,
+    /// Lower bounds (or their errors) by canonical scenario params,
+    /// least recently used first; at most [`LOWER_BOUND_MEMO_CAP`].
+    bounds: Mutex<Recency<Result<f64, String>>>,
     /// Total `POST /v1/race` requests accepted.
     pub races: AtomicU64,
     /// Front-end counters (queue depth, 429s), attached once the event
@@ -115,6 +137,7 @@ impl Service {
         Ok(Service {
             store: CellStore::open_with_budget(cache_dir, max_cache_bytes)?,
             registry: suu_algos::standard_registry(),
+            bounds: Mutex::new(Recency::default()),
             races: AtomicU64::new(0),
             server_metrics: OnceLock::new(),
         })
@@ -176,8 +199,9 @@ impl Service {
         }
     }
 
-    /// The `/v1/stats` document (live counters; `cells_on_disk` is
-    /// counted from the store each call). The original v1 fields keep
+    /// The `/v1/stats` document (live counters; `cells_on_disk` and
+    /// `cache_bytes` come from the store's in-memory mirror, so the call
+    /// does no O(cache size) work). The original v1 fields keep
     /// their exact names and order — the budget/backpressure fields are
     /// strictly appended, so pre-existing consumers parse unchanged.
     pub fn stats_json(&self) -> Json {
@@ -225,9 +249,11 @@ impl Service {
         for rs in &race.scenarios {
             builder.add_scenario(&rs.scenario);
             let inst = rs.scenario.instantiate();
-            let lb_result = race
-                .ratios_to_lower_bound
-                .then(|| lower_bound(&inst).map_err(|e| e.to_string()));
+            let lb_result = race.ratios_to_lower_bound.then(|| {
+                self.memoized_bound(rs.params.to_canonical(), || {
+                    lower_bound(&inst).map_err(|e| e.to_string())
+                })
+            });
             let lb = lb_result.as_ref().and_then(|r| r.as_ref().ok()).copied();
             let lb_error = lb_result.as_ref().and_then(|r| r.as_ref().err()).cloned();
 
@@ -279,6 +305,26 @@ impl Service {
         }
 
         Ok((builder.finish(), counts))
+    }
+
+    /// The lower bound memoized under `key` (canonical scenario
+    /// params), calling `solve` outside the lock and memoizing its
+    /// result, error or not, on first use.
+    fn memoized_bound(
+        &self,
+        key: String,
+        solve: impl FnOnce() -> Result<f64, String>,
+    ) -> Result<f64, String> {
+        if let Some(known) = unpoisoned(self.bounds.lock()).touch(&key) {
+            return known.clone();
+        }
+        let result = solve();
+        let mut memo = unpoisoned(self.bounds.lock());
+        memo.insert(&key, result.clone());
+        while memo.len() > LOWER_BOUND_MEMO_CAP {
+            memo.pop_lru();
+        }
+        result
     }
 
     /// One cell through the cache, under the in-flight guard.
@@ -416,6 +462,97 @@ mod tests {
             assert!(crate::cache::is_valid_key_hex(key));
             assert!(service.store().raw(key).is_some());
         }
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    fn with_ratios(trials: u64) -> RaceRequest {
+        let mut race = smoke_request(trials);
+        race.ratios_to_lower_bound = true;
+        race
+    }
+
+    fn memo_len(service: &Service) -> usize {
+        unpoisoned(service.bounds.lock()).len()
+    }
+
+    #[test]
+    fn memoized_lower_bounds_replay_byte_identically() {
+        let service = Service::new(tempdir("bound-memo")).unwrap();
+        let (doc_a, _) = service.evaluate(&with_ratios(6)).unwrap();
+        assert_eq!(memo_len(&service), 1);
+        let (doc_b, counts) = service.evaluate(&with_ratios(6)).unwrap();
+        assert_eq!(counts.label(), "hit");
+        assert_eq!(memo_len(&service), 1, "one entry per scenario");
+        assert_eq!(doc_a.to_pretty(), doc_b.to_pretty());
+        let cell = &doc_b.get("cells").unwrap().as_array().unwrap()[0];
+        assert!(cell.get("lower_bound").unwrap().as_f64().unwrap() >= 1.0);
+        // A fresh service over the same cache, its memo empty, answers alike.
+        let fresh = Service::new(service.store().dir()).unwrap();
+        let (doc_c, _) = fresh.evaluate(&with_ratios(6)).unwrap();
+        assert_eq!(doc_a.to_pretty(), doc_c.to_pretty());
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
+    fn a_bound_error_replays_from_the_memo() {
+        let service = Service::new(tempdir("bound-error")).unwrap();
+        let calls = AtomicU64::new(0);
+        let failing = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Err("synthetic LP failure".to_string())
+        };
+        let key = with_ratios(6).scenarios[0].params.to_canonical();
+        let first = service.memoized_bound(key.clone(), failing);
+        let second = service.memoized_bound(key, || unreachable!("memoized"));
+        assert_eq!(first, Err("synthetic LP failure".to_string()));
+        assert_eq!(second, first);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // Through the race path, every cell of the scenario carries the
+        // memoized error, on every request, byte-identically.
+        let (doc_a, _) = service.evaluate(&with_ratios(6)).unwrap();
+        let (doc_b, _) = service.evaluate(&with_ratios(6)).unwrap();
+        assert_eq!(doc_a.to_pretty(), doc_b.to_pretty());
+        for cell in doc_b.get("cells").unwrap().as_array().unwrap() {
+            assert_eq!(
+                cell.get("lower_bound_error").unwrap().as_str(),
+                Some("synthetic LP failure")
+            );
+            assert!(cell.get("lower_bound").is_none());
+        }
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
+    fn the_bound_memo_is_capped_oldest_first() {
+        let service = Service::new(tempdir("bound-cap")).unwrap();
+        for i in 0..=LOWER_BOUND_MEMO_CAP {
+            let value = i as f64;
+            assert_eq!(
+                service.memoized_bound(i.to_string(), || Ok(value)),
+                Ok(value)
+            );
+        }
+        assert_eq!(memo_len(&service), LOWER_BOUND_MEMO_CAP);
+        // The newest survives; the oldest was evicted and is solved anew.
+        let newest = LOWER_BOUND_MEMO_CAP.to_string();
+        assert!(service
+            .memoized_bound(newest, || unreachable!("memoized"))
+            .is_ok());
+        assert_eq!(
+            service.memoized_bound("0".to_string(), || Ok(-1.0)),
+            Ok(-1.0)
+        );
+        assert_eq!(memo_len(&service), LOWER_BOUND_MEMO_CAP);
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
+    fn requests_without_ratios_never_solve_a_bound() {
+        let service = Service::new(tempdir("bound-off")).unwrap();
+        let (doc, _) = service.evaluate(&smoke_request(6)).unwrap();
+        assert_eq!(memo_len(&service), 0);
+        let cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
+        assert!(cell.get("lower_bound").is_none());
         let _ = std::fs::remove_dir_all(service.store().dir());
     }
 

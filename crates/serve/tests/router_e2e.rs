@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use suu_bench::request::RaceRequest;
 use suu_core::json::Json;
 use suu_core::schemas;
-use suu_serve::cache::{cell_key_fields, CellKey};
+use suu_serve::cache::{cell_key_fields, CellKey, RECENCY_LOG};
 use suu_serve::router::{key_from_hex, owner_of};
 use suu_serve::service::semantics_str;
 
@@ -334,7 +334,7 @@ fn router_merge_is_byte_identical_and_shards_hold_only_their_keys() {
         for entry in std::fs::read_dir(&dir).expect("shard cache dir") {
             let name = entry.expect("dir entry").file_name();
             let name = name.to_str().expect("utf-8 file name");
-            if name == "index.json" {
+            if name == RECENCY_LOG {
                 continue;
             }
             let stem = name.strip_suffix(".json").expect("cell file");
